@@ -30,6 +30,19 @@ pub enum CkksError {
         /// Capacity (`N/2`).
         capacity: usize,
     },
+    /// A slot value to encode is NaN or infinite.
+    NonFiniteSlot {
+        /// Index of the first such slot.
+        slot: usize,
+    },
+    /// A scaled message coefficient does not fit in `i64`: the slot
+    /// values are too large for the encoding scale.
+    CoefficientOverflow {
+        /// Coefficient index.
+        index: usize,
+        /// The rounded scaled value.
+        value: f64,
+    },
     /// A rotation key for this step was not generated.
     MissingGaloisKey {
         /// The requested rotation step.
@@ -59,6 +72,13 @@ impl fmt::Display for CkksError {
             }
             Self::TooManySlots { provided, capacity } => {
                 write!(f, "{provided} slot values exceed capacity {capacity}")
+            }
+            Self::NonFiniteSlot { slot } => write!(f, "slot {slot} is not a finite number"),
+            Self::CoefficientOverflow { index, value } => {
+                write!(
+                    f,
+                    "scaled coefficient {index} ({value:e}) does not fit in i64"
+                )
             }
             Self::MissingGaloisKey { step } => {
                 write!(f, "no galois key generated for rotation step {step}")

@@ -45,11 +45,14 @@ impl SecretKey {
 }
 
 /// An encryption of zero under the secret key: the public key.
+///
+/// Kept in evaluation form, where encryption multiplies by it, so
+/// encrypting needs no forward NTT of the key.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PublicKey {
-    /// `b = −a·s + e` (coefficient form, top level).
+    /// `b = −a·s + e` (evaluation form, top level).
     pub b: RnsPoly,
-    /// Uniform `a` (coefficient form, top level).
+    /// Uniform `a` (evaluation form, top level).
     pub a: RnsPoly,
 }
 
@@ -126,7 +129,8 @@ impl<'a, R: Rng> KeyGenerator<'a, R> {
         SecretKey::generate(self.ctx, &mut self.rng)
     }
 
-    /// Builds the public key `(−a·s + e, a)` at the top level.
+    /// Builds the public key `(−a·s + e, a)` at the top level, in
+    /// evaluation form.
     ///
     /// # Errors
     ///
@@ -134,13 +138,9 @@ impl<'a, R: Rng> KeyGenerator<'a, R> {
     pub fn public_key(&mut self, sk: &SecretKey) -> Result<PublicKey, CkksError> {
         let level = self.ctx.params().levels();
         let s = sk.at_level(self.ctx, level)?.to_evaluation(self.ctx);
-        let a = RnsPoly::sample_uniform(self.ctx, level, &mut self.rng)?;
+        let a = RnsPoly::sample_uniform(self.ctx, level, &mut self.rng)?.to_evaluation(self.ctx);
         let e = RnsPoly::sample_error(self.ctx, level, &mut self.rng)?;
-        let a_eval = a.clone().to_evaluation(self.ctx);
-        let b = e
-            .to_evaluation(self.ctx)
-            .sub(&a_eval.mul(&s)?)?
-            .to_coefficient(self.ctx);
+        let b = e.to_evaluation(self.ctx).sub(&a.mul(&s)?)?;
         Ok(PublicKey { b, a })
     }
 
@@ -280,6 +280,7 @@ mod tests {
     use crate::params::CkksParams;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use uvpu_math::poly::Representation;
 
     fn ctx() -> CkksContext {
         CkksContext::new(CkksParams::new(1 << 6, 2, 40).unwrap()).unwrap()
@@ -300,18 +301,40 @@ mod tests {
         let mut kg = KeyGenerator::new(&ctx, StdRng::seed_from_u64(2));
         let sk = kg.secret_key();
         let pk = kg.public_key(&sk).unwrap();
+        assert_eq!(pk.a.representation(), Representation::Evaluation);
+        assert_eq!(pk.b.representation(), Representation::Evaluation);
         // b + a·s should be the small error e.
         let s = sk.at_level(&ctx, 2).unwrap().to_evaluation(&ctx);
-        let a_eval = pk.a.clone().to_evaluation(&ctx);
         let check =
-            pk.b.clone()
-                .to_evaluation(&ctx)
-                .add(&a_eval.mul(&s).unwrap())
+            pk.b.add(&pk.a.mul(&s).unwrap())
                 .unwrap()
                 .to_coefficient(&ctx);
         for k in 0..64 {
             assert!(check.coefficient_centered_f64(&ctx, k).abs() < 40.0);
         }
+    }
+
+    #[test]
+    fn public_key_is_the_coefficient_form_key_transformed() {
+        // The same draws as `KeyGenerator::public_key`, with `b` built in
+        // coefficient form and `a` left as sampled.
+        let ctx = ctx();
+        let mut rng = StdRng::seed_from_u64(4);
+        let sk = SecretKey::generate(&ctx, &mut rng);
+        let s = sk.at_level(&ctx, 2).unwrap().to_evaluation(&ctx);
+        let a = RnsPoly::sample_uniform(&ctx, 2, &mut rng).unwrap();
+        let e = RnsPoly::sample_error(&ctx, 2, &mut rng).unwrap();
+        let b = e
+            .to_evaluation(&ctx)
+            .sub(&a.clone().to_evaluation(&ctx).mul(&s).unwrap())
+            .unwrap()
+            .to_coefficient(&ctx);
+
+        let mut kg = KeyGenerator::new(&ctx, StdRng::seed_from_u64(4));
+        let sk = kg.secret_key();
+        let pk = kg.public_key(&sk).unwrap();
+        assert_eq!(pk.a.clone().to_coefficient(&ctx), a);
+        assert_eq!(pk.b.clone().to_coefficient(&ctx), b);
     }
 
     #[test]

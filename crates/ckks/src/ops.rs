@@ -73,6 +73,8 @@ impl<'a> Evaluator<'a> {
         let v = RnsPoly::sample_ternary(ctx, level, rng)?.to_evaluation(ctx);
         let e0 = RnsPoly::sample_error(ctx, level, rng)?;
         let e1 = RnsPoly::sample_error(ctx, level, rng)?;
+        // No-ops for a key from `KeyGenerator::public_key`, which is
+        // already in evaluation form.
         let b = pk.b.truncate_level(level)?.to_evaluation(ctx);
         let a = pk.a.truncate_level(level)?.to_evaluation(ctx);
         let mut c0 = v.mul(&b)?.to_coefficient(ctx);
@@ -115,6 +117,10 @@ impl<'a> Evaluator<'a> {
     /// Decryption: `Σ_k parts[k]·s^k`, returned as a plaintext carrying
     /// the ciphertext's scale.
     ///
+    /// The `k ≥ 1` terms are summed in evaluation form and brought back
+    /// with one inverse NTT; `parts[0]` is added in coefficient form, so
+    /// it is never transformed.
+    ///
     /// # Errors
     ///
     /// Substrate errors.
@@ -122,14 +128,18 @@ impl<'a> Evaluator<'a> {
         let ctx = self.ctx;
         let level = ct.level();
         let s = sk.at_level(ctx, level)?.to_evaluation(ctx);
-        let mut acc = ct.parts[0].clone().to_evaluation(ctx);
-        let mut s_pow = s.clone();
-        for part in &ct.parts[1..] {
-            acc.add_assign(&part.clone().to_evaluation(ctx).mul(&s_pow)?)?;
-            s_pow = s_pow.mul(&s)?;
+        let mut poly = ct.parts[0].clone();
+        if let Some(c1) = ct.parts.get(1) {
+            let mut acc = c1.clone().to_evaluation(ctx).mul(&s)?;
+            let mut s_pow = s.clone();
+            for part in &ct.parts[2..] {
+                s_pow = s_pow.mul(&s)?;
+                acc.add_assign(&part.clone().to_evaluation(ctx).mul(&s_pow)?)?;
+            }
+            poly.add_assign(&acc.to_coefficient(ctx))?;
         }
         Ok(Plaintext {
-            poly: acc.to_coefficient(ctx),
+            poly,
             scale: ct.scale,
         })
     }
@@ -579,6 +589,95 @@ mod tests {
         let ct2 = eval.encrypt_symmetric(&sk, &pt, &mut rng).unwrap();
         let back2 = enc.decode(&f.ctx, &eval.decrypt(&sk, &ct2).unwrap());
         assert!(max_err(&values, &back2) < 1e-4);
+    }
+
+    #[test]
+    fn encrypt_is_bit_identical_under_either_key_form() {
+        let f = fixture(7, 3);
+        let enc = Encoder::new(&f.ctx);
+        let mut kg = KeyGenerator::new(&f.ctx, StdRng::seed_from_u64(31));
+        let sk = kg.secret_key();
+        let pk = kg.public_key(&sk).unwrap();
+        let pk_coeff = PublicKey {
+            b: pk.b.clone().to_coefficient(&f.ctx),
+            a: pk.a.clone().to_coefficient(&f.ctx),
+        };
+        let eval = Evaluator::new(&f.ctx);
+        let values: Vec<C64> = (0..enc.slot_count())
+            .map(|j| C64::new((j as f64).cos(), 0.5 - j as f64 * 0.01))
+            .collect();
+        for level in [3, 1] {
+            let pt = enc.encode(&f.ctx, level, &values).unwrap();
+            let ct = eval
+                .encrypt(&pk, &pt, &mut StdRng::seed_from_u64(32))
+                .unwrap();
+            let ct_coeff = eval
+                .encrypt(&pk_coeff, &pt, &mut StdRng::seed_from_u64(32))
+                .unwrap();
+            assert_eq!(ct, ct_coeff, "level {level}");
+        }
+    }
+
+    /// Decryption as `Σ_k parts[k]·s^k` with every part, `parts[0]`
+    /// included, taken to evaluation form.
+    fn decrypt_all_evaluation(ctx: &CkksContext, sk: &SecretKey, ct: &Ciphertext) -> RnsPoly {
+        let s = sk.at_level(ctx, ct.level()).unwrap().to_evaluation(ctx);
+        let mut acc = ct.parts[0].clone().to_evaluation(ctx);
+        let mut s_pow = s.clone();
+        for part in &ct.parts[1..] {
+            acc.add_assign(&part.clone().to_evaluation(ctx).mul(&s_pow).unwrap())
+                .unwrap();
+            s_pow = s_pow.mul(&s).unwrap();
+        }
+        acc.to_coefficient(ctx)
+    }
+
+    #[test]
+    fn decrypt_is_bit_identical_to_all_evaluation_formula() {
+        let f = fixture(7, 2);
+        let enc = Encoder::new(&f.ctx);
+        let mut kg = KeyGenerator::new(&f.ctx, StdRng::seed_from_u64(33));
+        let sk = kg.secret_key();
+        let pk = kg.public_key(&sk).unwrap();
+        let eval = Evaluator::new(&f.ctx);
+        let mut rng = StdRng::seed_from_u64(34);
+        let a: Vec<C64> = (0..16).map(|j| C64::new(j as f64 * 0.1, 1.0)).collect();
+        let b: Vec<C64> = (0..16).map(|j| C64::new(2.0, -(j as f64) * 0.1)).collect();
+        let ca = eval
+            .encrypt(&pk, &enc.encode(&f.ctx, 2, &a).unwrap(), &mut rng)
+            .unwrap();
+        let cb = eval
+            .encrypt(&pk, &enc.encode(&f.ctx, 2, &b).unwrap(), &mut rng)
+            .unwrap();
+        // The un-relinearised tensor product: (a0·b0, a0·b1 + a1·b0, a1·b1).
+        let ev = |p: &RnsPoly| p.clone().to_evaluation(&f.ctx);
+        let (a0, a1, b0, b1) = (
+            ev(&ca.parts[0]),
+            ev(&ca.parts[1]),
+            ev(&cb.parts[0]),
+            ev(&cb.parts[1]),
+        );
+        let d1 = a0.mul(&b1).unwrap().add(&a1.mul(&b0).unwrap()).unwrap();
+        let tensor = Ciphertext {
+            parts: [a0.mul(&b0).unwrap(), d1, a1.mul(&b1).unwrap()]
+                .into_iter()
+                .map(|p| p.to_coefficient(&f.ctx))
+                .collect(),
+            scale: ca.scale * cb.scale,
+        };
+        for ct in [&ca, &tensor] {
+            let pt = eval.decrypt(&sk, ct).unwrap();
+            assert_eq!(pt.poly, decrypt_all_evaluation(&f.ctx, &sk, ct));
+            assert_eq!(pt.scale, ct.scale);
+        }
+        // The 3-part decryption is the slot-wise product.
+        let back = enc.decode(&f.ctx, &eval.decrypt(&sk, &tensor).unwrap());
+        let want: Vec<C64> = a.iter().zip(&b).map(|(x, y)| x.mul(*y)).collect();
+        assert!(
+            max_err(&want, &back[..16]) < 1e-3,
+            "err {}",
+            max_err(&want, &back[..16])
+        );
     }
 
     #[test]

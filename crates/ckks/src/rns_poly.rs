@@ -323,9 +323,12 @@ impl RnsPoly {
     }
 
     /// Converts all residues to evaluation form (per-limb NTTs on the
-    /// worker pool).
+    /// worker pool; a no-op, with no pool dispatch, if already there).
     #[must_use]
     pub fn to_evaluation(self, ctx: &CkksContext) -> Self {
+        if self.representation() == Representation::Evaluation {
+            return self;
+        }
         let polys = uvpu_par::par_map_vec(self.polys, |i, p| p.to_evaluation(ctx.ntt(i)));
         Self {
             polys,
@@ -334,9 +337,13 @@ impl RnsPoly {
     }
 
     /// Converts all residues to coefficient form (per-limb inverse NTTs
-    /// on the worker pool).
+    /// on the worker pool; a no-op, with no pool dispatch, if already
+    /// there).
     #[must_use]
     pub fn to_coefficient(self, ctx: &CkksContext) -> Self {
+        if self.representation() == Representation::Coefficient {
+            return self;
+        }
         let polys = uvpu_par::par_map_vec(self.polys, |i, p| p.to_coefficient(ctx.ntt(i)));
         Self {
             polys,
@@ -501,8 +508,8 @@ impl RnsPoly {
         })
     }
 
-    /// Reconstructs coefficient `k` as a centered `f64` via CRT — the
-    /// decoder's path out of RNS. Requires coefficient form.
+    /// Reconstructs coefficient `k` as a centered `f64` via CRT. Requires
+    /// coefficient form.
     ///
     /// # Panics
     ///
@@ -513,7 +520,39 @@ impl RnsPoly {
         let residues: Vec<u64> = (0..=self.level)
             .map(|i| self.polys[i].coeffs()[k])
             .collect();
-        ctx.basis(self.level).reconstruct_centered_f64(&residues)
+        ctx.basis(self.level)
+            .reconstruct_centered_f64(&residues, &mut Vec::new())
+    }
+
+    /// Reconstructs every coefficient as a centered `f64` via CRT — the
+    /// decoder's path out of RNS. Blocks of coefficients go to the worker
+    /// pool; each worker reuses one residue buffer and one CRT scratch
+    /// buffer for all of its blocks. Requires coefficient form.
+    ///
+    /// # Panics
+    ///
+    /// Panics in evaluation form.
+    #[must_use]
+    pub fn coefficients_centered_f64(&self, ctx: &CkksContext) -> Vec<f64> {
+        const BLOCK: usize = 1024;
+        assert_eq!(self.representation(), Representation::Coefficient);
+        let basis = ctx.basis(self.level);
+        let n = self.n();
+        uvpu_par::par_map_indexed_with(
+            n.div_ceil(BLOCK),
+            || (vec![0u64; self.level + 1], Vec::new()),
+            |(residues, scratch), b| {
+                (b * BLOCK..n.min((b + 1) * BLOCK))
+                    .map(|k| {
+                        for (r, p) in residues.iter_mut().zip(&self.polys) {
+                            *r = p.coeffs()[k];
+                        }
+                        basis.reconstruct_centered_f64(residues, scratch)
+                    })
+                    .collect::<Vec<f64>>()
+            },
+        )
+        .concat()
     }
 }
 
@@ -535,6 +574,21 @@ mod tests {
         let p = RnsPoly::from_signed(&ctx, 2, &coeffs).unwrap();
         for (k, &c) in coeffs.iter().enumerate() {
             assert_eq!(p.coefficient_centered_f64(&ctx, k), c as f64);
+        }
+    }
+
+    #[test]
+    fn whole_polynomial_crt_matches_per_coefficient_at_any_thread_count() {
+        // 2^11 coefficients: two CRT blocks, so the pool path runs.
+        let ctx = CkksContext::new(CkksParams::new(1 << 11, 3, 40).unwrap()).unwrap();
+        let p = RnsPoly::sample_uniform(&ctx, 3, &mut StdRng::seed_from_u64(9)).unwrap();
+        let want: Vec<u64> = (0..p.n())
+            .map(|k| p.coefficient_centered_f64(&ctx, k).to_bits())
+            .collect();
+        for threads in [1, 3] {
+            let got = uvpu_par::with_threads(threads, || p.coefficients_centered_f64(&ctx));
+            let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "threads {threads}");
         }
     }
 

@@ -182,11 +182,19 @@ impl UBig {
     /// Converts to `f64` (loses precision beyond 53 bits, as expected).
     #[must_use]
     pub fn to_f64(&self) -> f64 {
-        let mut acc = 0.0f64;
-        for &limb in self.limbs.iter().rev() {
-            acc = acc * 1.8446744073709552e19 + limb as f64; // 2^64
-        }
-        acc
+        words_to_f64(&self.limbs)
+    }
+
+    /// The value as exactly `width` little-endian limbs (zero-padded).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value needs more than `width` limbs.
+    pub(crate) fn to_words(&self, width: usize) -> Vec<u64> {
+        assert!(self.limbs.len() <= width, "UBig wider than {width} limbs");
+        let mut words = self.limbs.clone();
+        words.resize(width, 0);
+        words
     }
 
     /// Reduces `self` modulo `m` when `self < bound · m` for small `bound`,
@@ -214,6 +222,65 @@ impl UBig {
         }
         r
     }
+}
+
+// Fixed-width limb-slice arithmetic: the allocation-free core of the
+// centered CRT in `rns`. Operands are little-endian limbs of equal width.
+
+/// `acc += a·k`.
+///
+/// # Panics
+///
+/// Panics (debug) if the sum overflows `acc`'s width.
+pub(crate) fn words_mul_add(acc: &mut [u64], a: &[u64], k: u64) {
+    let mut carry = 0u64;
+    for (x, &y) in acc.iter_mut().zip(a) {
+        let t = u128::from(y) * u128::from(k) + u128::from(*x) + u128::from(carry);
+        *x = t as u64;
+        carry = (t >> 64) as u64;
+    }
+    debug_assert_eq!(carry, 0, "fixed-width accumulator overflow");
+}
+
+/// `acc −= b`; requires `acc ≥ b`.
+pub(crate) fn words_sub_assign(acc: &mut [u64], b: &[u64]) {
+    let mut borrow = false;
+    for (x, &y) in acc.iter_mut().zip(b) {
+        let (d1, b1) = x.overflowing_sub(y);
+        let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+        *x = d2;
+        borrow = b1 || b2;
+    }
+    debug_assert!(!borrow, "fixed-width subtraction underflow");
+}
+
+/// `acc = b − acc`; requires `b ≥ acc`.
+pub(crate) fn words_rsub_assign(acc: &mut [u64], b: &[u64]) {
+    let mut borrow = false;
+    for (x, &y) in acc.iter_mut().zip(b) {
+        let (d1, b1) = y.overflowing_sub(*x);
+        let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+        *x = d2;
+        borrow = b1 || b2;
+    }
+    debug_assert!(!borrow, "fixed-width subtraction underflow");
+}
+
+/// Numeric comparison of two equal-width limb slices.
+pub(crate) fn words_cmp(a: &[u64], b: &[u64]) -> Ordering {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().rev().cmp(b.iter().rev())
+}
+
+/// Limbs to `f64`, most significant first. Zero padding limbs leave the
+/// result unchanged, so a fixed-width value converts bit-identically to
+/// its normalized [`UBig`].
+pub(crate) fn words_to_f64(words: &[u64]) -> f64 {
+    let mut acc = 0.0f64;
+    for &limb in words.iter().rev() {
+        acc = acc * 1.8446744073709552e19 + limb as f64; // 2^64
+    }
+    acc
 }
 
 impl From<u64> for UBig {

@@ -7,9 +7,12 @@
 //! centered lifting for the CKKS decoder, and the per-prime gadget
 //! constants used by RNS keyswitching.
 
-use crate::bigint::UBig;
+use crate::bigint::{
+    words_cmp, words_mul_add, words_rsub_assign, words_sub_assign, words_to_f64, UBig,
+};
 use crate::modular::Modulus;
 use crate::MathError;
+use std::cmp::Ordering;
 
 /// An RNS basis: pairwise co-prime moduli with precomputed CRT constants.
 ///
@@ -37,6 +40,13 @@ pub struct RnsBasis {
     punctured_mod: Vec<Vec<u64>>,
     /// `Q̃_i = Q_i^{-1} mod q_i`.
     punctured_inv: Vec<u64>,
+    /// `Q` as fixed-width limbs, one limb wider than `Q` needs so that the
+    /// CRT sum `Σ Q_i·c_i < len·Q` fits without growing.
+    product_words: Vec<u64>,
+    /// `⌊Q/2⌋` at the same width.
+    half_words: Vec<u64>,
+    /// Every `Q_i` at the same width, concatenated.
+    punctured_words: Vec<u64>,
 }
 
 impl RnsBasis {
@@ -76,12 +86,19 @@ impl RnsBasis {
             .enumerate()
             .map(|(i, m)| m.inv(punctured_mod[i][i]))
             .collect::<Result<_, _>>()?;
+        let width = product.bits().div_ceil(64) as usize + 1;
+        let product_words = product.to_words(width);
+        let half_words = product.div_rem_u64(2).0.to_words(width);
+        let punctured_words = punctured.iter().flat_map(|p| p.to_words(width)).collect();
         Ok(Self {
             moduli,
             product,
             punctured,
             punctured_mod,
             punctured_inv,
+            product_words,
+            half_words,
+            punctured_words,
         })
     }
 
@@ -172,17 +189,39 @@ impl RnsBasis {
     /// CRT reconstruction to a **centered** `f64`: the representative in
     /// `(−Q/2, Q/2]` as a float. This is what the CKKS decoder needs.
     ///
+    /// Works in place on fixed-width limbs precomputed by [`Self::new`];
+    /// `scratch` is resized on first use and then reused, so decoding a
+    /// whole polynomial through one scratch buffer allocates nothing per
+    /// coefficient. The result is bit-identical to centering
+    /// [`Self::reconstruct`] and converting with [`UBig::to_f64`].
+    ///
     /// # Panics
     ///
     /// Panics if `residues.len() != self.len()`.
     #[must_use]
-    pub fn reconstruct_centered_f64(&self, residues: &[u64]) -> f64 {
-        let x = self.reconstruct(residues);
-        let half = self.product.div_rem_u64(2).0;
-        if x > half {
-            -(self.product.sub(&x).to_f64())
+    pub fn reconstruct_centered_f64(&self, residues: &[u64], scratch: &mut Vec<u64>) -> f64 {
+        assert_eq!(residues.len(), self.len());
+        let width = self.product_words.len();
+        scratch.clear();
+        scratch.resize(width, 0);
+        let x = scratch.as_mut_slice();
+        for (i, ((&r, m), q_i)) in residues
+            .iter()
+            .zip(&self.moduli)
+            .zip(self.punctured_words.chunks_exact(width))
+            .enumerate()
+        {
+            words_mul_add(x, q_i, m.mul(m.reduce_u64(r), self.punctured_inv[i]));
+        }
+        // The sum is below len·Q: at most len − 1 subtractions.
+        while words_cmp(x, &self.product_words) != Ordering::Less {
+            words_sub_assign(x, &self.product_words);
+        }
+        if words_cmp(x, &self.half_words) == Ordering::Greater {
+            words_rsub_assign(x, &self.product_words);
+            -words_to_f64(x)
         } else {
-            x.to_f64()
+            words_to_f64(x)
         }
     }
 
@@ -243,24 +282,78 @@ mod tests {
     #[test]
     fn centered_reconstruction_signs() {
         let basis = RnsBasis::new(vec![97, 193]).unwrap();
-        assert_eq!(
-            basis.reconstruct_centered_f64(&basis.decompose_i64(42)),
-            42.0
-        );
-        assert_eq!(
-            basis.reconstruct_centered_f64(&basis.decompose_i64(-42)),
-            -42.0
-        );
-        assert_eq!(basis.reconstruct_centered_f64(&basis.decompose_i64(0)), 0.0);
+        let mut scratch = Vec::new();
+        let mut centered =
+            |x: i64| basis.reconstruct_centered_f64(&basis.decompose_i64(x), &mut scratch);
+        assert_eq!(centered(42), 42.0);
+        assert_eq!(centered(-42), -42.0);
+        assert_eq!(centered(0), 0.0);
         // Near the wrap boundary Q/2 = 9360 (Q = 18721).
-        assert_eq!(
-            basis.reconstruct_centered_f64(&basis.decompose_i64(9360)),
-            9360.0
-        );
-        assert_eq!(
-            basis.reconstruct_centered_f64(&basis.decompose_i64(-9360)),
-            -9360.0
-        );
+        assert_eq!(centered(9360), 9360.0);
+        assert_eq!(centered(-9360), -9360.0);
+    }
+
+    /// The big-integer path the fixed-width reconstruction replaces:
+    /// full CRT, compare with `⌊Q/2⌋`, convert.
+    fn centered_via_ubig(basis: &RnsBasis, residues: &[u64]) -> f64 {
+        let x = basis.reconstruct(residues);
+        let half = basis.product().div_rem_u64(2).0;
+        if x > half {
+            -(basis.product().sub(&x).to_f64())
+        } else {
+            x.to_f64()
+        }
+    }
+
+    #[test]
+    fn centered_reconstruction_is_bit_identical_to_ubig_path() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // The CKKS benchmark's chain: ten 40-bit primes for N = 2^13.
+        let primes = ntt_prime_chain(40, 1 << 13, 10).unwrap();
+        let mut rng = StdRng::seed_from_u64(0x63_7274);
+        let mut scratch = Vec::new();
+        for level in 0..primes.len() {
+            let basis = RnsBasis::new(primes[..=level].to_vec()).unwrap();
+            let q = basis.product().clone();
+            let half = q.div_rem_u64(2).0;
+            let boundaries = [
+                UBig::zero(),
+                half.clone(),
+                half.add(&UBig::one()),
+                q.sub(&UBig::one()),
+            ];
+            let mut cases: Vec<Vec<u64>> = boundaries
+                .iter()
+                .map(|x| {
+                    basis
+                        .moduli()
+                        .iter()
+                        .map(|m| x.rem_u64(m.value()))
+                        .collect()
+                })
+                .collect();
+            cases.extend((0..256).map(|_| {
+                basis
+                    .moduli()
+                    .iter()
+                    .map(|m| rng.gen_range(0..m.value()))
+                    .collect()
+            }));
+            for residues in &cases {
+                let got = basis.reconstruct_centered_f64(residues, &mut scratch);
+                let want = centered_via_ubig(&basis, residues);
+                assert_eq!(got.to_bits(), want.to_bits(), "level {level}: {residues:?}");
+            }
+            // The boundaries land where the centering says they must.
+            assert_eq!(basis.reconstruct_centered_f64(&cases[0], &mut scratch), 0.0);
+            assert!(basis.reconstruct_centered_f64(&cases[1], &mut scratch) > 0.0);
+            assert!(basis.reconstruct_centered_f64(&cases[2], &mut scratch) < 0.0);
+            assert_eq!(
+                basis.reconstruct_centered_f64(&cases[3], &mut scratch),
+                -1.0
+            );
+        }
     }
 
     #[test]
